@@ -42,6 +42,7 @@ HOT_PATH_FILES = {
     "src/repro/obs/reqtrace.py": 1,        # sample_masks
     "src/repro/scenarios/base.py": 1,      # draw_feature_cube
     "src/repro/autotune/controller.py": 1,  # on_batch_complete
+    "src/repro/multitier/dram_cache.py": 3,  # lookup / refresh / flush
 }
 
 MARKER = "# hot-path: vectorized"

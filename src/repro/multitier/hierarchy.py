@@ -26,7 +26,7 @@ from ..hardware import HardwareSpec
 from ..obs.registry import Observable
 from ..tables.store import StoreQueryResult
 from ..tables.table_spec import TableSpec
-from .dram_cache import DramCacheLayer, pack_global_key
+from .dram_cache import DramCacheLayer, pack_global_keys
 from .remote_ps import RemoteParameterServer
 
 
@@ -93,7 +93,7 @@ class TieredParameterStore(Observable):
         #: Simulated wall-clock of the current query (drives fault windows).
         self._now = 0.0
         self._dram_flushed = False
-        self._degraded_log: List[int] = []
+        self._degraded_log: List[np.ndarray] = []
         #: breaker-open seconds already folded into the registry counter.
         self._breaker_time_seen = 0.0
         # The stale shadow is only maintained on the fault-aware path;
@@ -130,9 +130,7 @@ class TieredParameterStore(Observable):
         self.stats.degraded_keys += len(feature_ids)
         obs.inc("tier.remote_failures")
         obs.inc("tier.degraded_keys", len(feature_ids))
-        self._degraded_log.extend(
-            pack_global_key(table_id, int(fid)) for fid in feature_ids
-        )
+        self._degraded_log.append(pack_global_keys(table_id, feature_ids))
         vectors, _ = degraded_vectors(
             self.degrade, self._stale, table_id, feature_ids,
             self.specs[table_id].dim,
@@ -207,7 +205,8 @@ class TieredParameterStore(Observable):
 
         Feed these to the AUC machinery to quantify accuracy impact.
         """
-        keys = np.asarray(self._degraded_log, dtype=np.uint64)
+        log = self._degraded_log
+        keys = np.concatenate(log) if log else np.zeros(0, np.uint64)
         self._degraded_log = []
         return keys
 
@@ -335,7 +334,8 @@ class TieredParameterStore(Observable):
             return StoreQueryResult(
                 np.zeros((0, 0), np.float32), host_query_cost(self.hw, 0, 0)
             )
-        dims = {self.specs[int(t)].dim for t in np.unique(table_ids)}
+        tables = np.unique(table_ids)
+        dims = {self.specs[int(t)].dim for t in tables}
         if len(dims) != 1:
             raise WorkloadError("query_many: tables must share one dimension")
         dim = dims.pop()
@@ -343,14 +343,19 @@ class TieredParameterStore(Observable):
         vectors = np.zeros((len(table_ids), dim), dtype=np.float32)
         remote_time = 0.0
         payload = 0
-        for table_id in np.unique(table_ids):
-            mask = table_ids == table_id
-            got, fetch_time = self._tier_lookup(
-                int(table_id), feature_ids[mask]
-            )
-            vectors[mask] = got
-            remote_time += fetch_time
-            payload += int(mask.sum()) * self.specs[int(table_id)].value_bytes
+        # Nothing reads the GPU-side pointers between the per-table
+        # lookups, so their eviction notices go out as one.
+        with self.dram.collect_evictions():
+            for table_id in tables:
+                mask = table_ids == table_id
+                got, fetch_time = self._tier_lookup(
+                    int(table_id), feature_ids[mask]
+                )
+                vectors[mask] = got
+                remote_time += fetch_time
+                payload += (
+                    int(mask.sum()) * self.specs[int(table_id)].value_bytes
+                )
 
         if indexed_mask is None:
             keys_to_index = len(table_ids)
