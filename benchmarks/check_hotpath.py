@@ -35,7 +35,7 @@ HOT_PATH_FILES = {
     "src/repro/core/workflow.py": 3,      # encode / dedup / _query_stages
     "src/repro/cluster/router.py": 2,     # plan_primary_streams / fault-free
     "src/repro/serving/batcher.py": 1,    # form_batches
-    "src/repro/hashindex/slab_hash.py": 3,  # lookup / insert / erase
+    "src/repro/hashindex/slab_hash.py": 3,  # lookup_slots / insert / erase
     "src/repro/tables/embedding_table.py": 1,  # lookup
     "src/repro/core/precision.py": 2,      # quantize / dequantize rows
     "src/repro/core/admission.py": 2,      # sketch observe / estimate
@@ -43,6 +43,7 @@ HOT_PATH_FILES = {
     "src/repro/scenarios/base.py": 1,      # draw_feature_cube
     "src/repro/autotune/controller.py": 1,  # on_batch_complete
     "src/repro/multitier/dram_cache.py": 3,  # lookup / refresh / flush
+    "src/repro/core/updates.py": 1,        # apply_deltas
 }
 
 MARKER = "# hot-path: vectorized"

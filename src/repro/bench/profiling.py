@@ -5,9 +5,10 @@ Every CLI bench accepts ``--profile``; when set, the run happens under a
 deterministic ``perf_counter_ns`` sections — and a ``profile*.json``
 artifact is emitted next to the other bench results.  The artifact
 attributes wall-clock to the serving hot-path *layers* the vectorization
-work targets (miss table, scheduler, workflow, DRAM tier, router, dense,
-registry), so a speedup claim is diagnosable per layer and a regression
-in one layer is visible even when end-to-end runtime hides it.
+work targets (miss table, scheduler, workflow, DRAM tier, refresh apply,
+router, dense, registry), so a speedup claim is diagnosable per layer and
+a regression in one layer is visible even when end-to-end runtime hides
+it.
 
 Attribution is by code location: each profiled function's self-time is
 charged to the layer owning its file (with the miss table split out of
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 #: The hot-path layers wall-clock is attributed to.  Order is the
 #: presentation order in tables and ``profile.json``.
 LAYERS = (
-    "miss_table", "scheduler", "workflow", "tier", "router",
+    "miss_table", "scheduler", "workflow", "tier", "refresh", "router",
     "dense", "registry", "other",
 )
 
@@ -38,6 +39,7 @@ _LAYER_OF_SUFFIX: Tuple[Tuple[str, str], ...] = (
     ("repro/serving/server.py", "scheduler"),
     ("repro/serving/batcher.py", "scheduler"),
     ("repro/serving/arrivals.py", "scheduler"),
+    ("repro/core/updates.py", "refresh"),
     ("repro/core/workflow.py", "workflow"),
     ("repro/core/engine.py", "workflow"),
     ("repro/core/flat_cache.py", "workflow"),
@@ -49,6 +51,7 @@ _LAYER_OF_SUFFIX: Tuple[Tuple[str, str], ...] = (
     ("repro/workloads/", "scheduler"),
     ("repro/gpusim/", "workflow"),
     ("repro/multitier/", "tier"),
+    ("repro/refresh/", "refresh"),
     ("repro/cluster/", "router"),
     ("repro/multigpu/", "router"),
     ("repro/model/", "dense"),

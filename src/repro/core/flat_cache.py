@@ -592,13 +592,25 @@ class FlatCache(Observable):
         if len(flat_keys) == 0:
             return 0
         found, pointers, _ = self.index.lookup(flat_keys)
-        stale = found & is_dram_pointer(pointers)
-        if not stale.any():
+        return self.erase_dram_pointers(
+            flat_keys[found & is_dram_pointer(pointers)]
+        )
+
+    def erase_dram_pointers(self, dram_keys: np.ndarray) -> int:
+        """Erase entries a probe already found holding DRAM pointers.
+
+        The erase half of :meth:`invalidate_dram_pointers`, for callers
+        that probed the keys themselves (the batched refresh apply);
+        keeps ``unified_entries`` and ``cache.pointers_invalidated``
+        exact.  Returns the number of entries removed.
+        """
+        if len(dram_keys) == 0:
             return 0
-        removed, _ = self.index.erase(flat_keys[stale])
+        removed, _ = self.index.erase(dram_keys)
         count = int(removed.sum())
         self.unified_entries = max(0, self.unified_entries - count)
-        self.obs.inc("cache.pointers_invalidated", count)
+        if count:
+            self.obs.inc("cache.pointers_invalidated", count)
         return count
 
     def clear_unified_index(self) -> int:

@@ -126,7 +126,6 @@ class SlabHashIndex:
 
     # ------------------------------------------------------------------ lookup
 
-    # hot-path: vectorized
     def lookup(
         self, keys: np.ndarray, stamp: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray, ProbeStats]:
@@ -141,10 +140,25 @@ class SlabHashIndex:
             ``(found_mask, values, stats)``: boolean hit mask, per-key
             payloads (zero where missed), and device cost stats.
         """
+        found, values, _, stats = self.lookup_slots(keys, stamp)
+        return found, values, stats
+
+    # hot-path: vectorized
+    def lookup_slots(
+        self, keys: np.ndarray, stamp: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, ProbeStats]:
+        """:meth:`lookup` that also returns each key's slot.
+
+        The slots (meaningful only where found) let a caller act on the
+        probed entries later — :meth:`touch` them — without probing again.
+        """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         n = len(keys)
         if n == 0:
-            return np.zeros(0, bool), np.zeros(0, np.uint64), ProbeStats(0, 0, 0.0)
+            return (
+                np.zeros(0, bool), np.zeros(0, np.uint64),
+                np.zeros(0, np.int64), ProbeStats(0, 0, 0.0),
+            )
 
         buckets = _bucket_of(keys, self.num_buckets)
         slab_keys = self._slabs()[buckets]  # (n, SLAB_SLOTS)
@@ -156,7 +170,15 @@ class SlabHashIndex:
         if stamp is not None:
             self._stamps[slot[found]] = stamp
         stats = ProbeStats(n, n, 1.0)
-        return found, values, stats
+        return found, values, slot, stats
+
+    def touch(self, slots: np.ndarray, stamp: int) -> None:
+        """Re-stamp occupied ``slots`` (from :meth:`lookup_slots`) to ``stamp``.
+
+        The in-place refresh's version bump: the same stamp write a
+        ``lookup(keys, stamp=...)`` makes on its hits, without the probe.
+        """
+        self._stamps[slots] = stamp
 
     # ------------------------------------------------------------------ insert
 

@@ -373,19 +373,35 @@ class SlabMemoryPool:
         storage dtype (and records per-row scales for int8) — the same
         path serves inserts *and* in-place refresh writes, so a model
         refresh re-quantizes at the entry's current tier automatically.
+        On a tiered pool the locations may span the (dim, tier) classes
+        of one dimension (a refresh of entries in several tiers): the
+        write groups per class, as :meth:`read` does.
         """
         if len(locations) == 0:
             return
         class_ids, slots = unpack_locations(np.asarray(locations))
         unique = np.unique(class_ids)
-        if len(unique) != 1:
-            raise SimulationError("write: locations span multiple slab classes")
-        slab = self._classes[int(unique[0])]
-        if vectors.shape != (len(locations), slab.dim):
+        dims = {self._classes[int(c)].dim for c in unique}
+        if len(dims) != 1:
+            raise SimulationError("write: locations span multiple dimensions")
+        dim = dims.pop()
+        if vectors.shape != (len(locations), dim):
             raise SimulationError(
-                f"write: expected shape {(len(locations), slab.dim)}, "
+                f"write: expected shape {(len(locations), dim)}, "
                 f"got {vectors.shape}"
             )
+        if len(unique) == 1:
+            self._write_class(self._classes[int(unique[0])], slots, vectors)
+            return
+        for class_id in unique:
+            mask = class_ids == class_id
+            self._write_class(
+                self._classes[int(class_id)], slots[mask], vectors[mask]
+            )
+
+    def _write_class(
+        self, slab: SlabClass, slots: np.ndarray, vectors: np.ndarray
+    ) -> None:
         if slab.tier == _TIER_FP32:
             slab.storage[slots] = vectors
             return

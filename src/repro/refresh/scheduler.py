@@ -126,7 +126,7 @@ class RefreshScheduler:
             cost = self.batch_cost(batch, now)
             if not self.aggressive and now + cost > end:
                 break
-            self.subscriber.apply_next(now)
+            self.subscriber.apply_batch(batch)
             now += cost
             budget -= batch.num_keys
             self.busy_time += cost

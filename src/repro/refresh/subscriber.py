@@ -2,10 +2,10 @@
 
 Each serving replica runs one :class:`UpdateSubscriber`.  It tracks the
 last log offset and model version it applied, pulls due batches with
-:meth:`apply_next`, pushes every row through
-:class:`~repro.core.updates.UpdateApplier` into the GPU flat cache, and
-writes through to the multitier host store so evicted-and-refetched keys
-come back fresh.  Consistency model:
+:meth:`apply_next`, pushes each batch through one
+:meth:`~repro.core.updates.UpdateApplier.apply_deltas` call into the GPU
+flat cache, and writes through to the multitier host store so
+evicted-and-refetched keys come back fresh.  Consistency model:
 
 * **batch-atomic** — a batch is applied completely or not at all (no torn
   offsets); within a replica, versions are monotone;
@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..core.flat_cache import FlatCache
 from ..core.snapshot import CacheSnapshot, restore, snapshot
 from ..core.unified_index import is_dram_pointer, untag
@@ -53,10 +55,16 @@ def fingerprint(cache: FlatCache) -> Dict[int, bytes]:
     keys, values, _ = cache.index.scan()
     cached = ~is_dram_pointer(values)
     keys = keys[cached]
-    vectors = cache.pool.read(untag(values[cached]))
-    return {
-        int(key): vector.tobytes() for key, vector in zip(keys, vectors)
-    }
+    locations = untag(values[cached])
+    dims = cache.pool.dim_of_locations(locations)
+    contents: Dict[int, bytes] = {}
+    for dim in np.unique(dims):  # one pool read per embedding width
+        mask = dims == dim
+        rows = cache.pool.read(locations[mask])
+        contents.update(
+            zip(keys[mask].tolist(), (row.tobytes() for row in rows))
+        )
+    return contents
 
 
 class UpdateSubscriber(Observable):
@@ -143,38 +151,47 @@ class UpdateSubscriber(Observable):
             return None
         return batch
 
-    def apply_next(self, now: float, executor=None) -> Optional[DeltaBatch]:
+    def apply_next(self, now: float) -> Optional[DeltaBatch]:
         """Apply the next due batch; returns it (None when none applied)."""
         batch = self.next_batch(now)
         if batch is None:
             return None
-        for delta in batch.deltas:
-            outcome = self.applier.apply(
-                delta.table_id, delta.feature_ids, delta.vectors,
-                executor=executor,
+        self.apply_batch(batch)
+        return batch
+
+    def apply_batch(self, batch: DeltaBatch) -> None:
+        """Apply ``batch`` — the one :meth:`next_batch` returned — atomically.
+
+        All of the batch's tables go through one
+        :meth:`UpdateApplier.apply_deltas` call, then write through to the
+        host store table by table.
+        """
+        if batch.offset != self.applied_offset + 1:
+            raise RefreshError(
+                f"batch at offset {batch.offset} does not follow the "
+                f"applied offset {self.applied_offset}"
             )
-            self._inc_outcome(outcome)
-            if self.host_store is not None and hasattr(
-                self.host_store, "apply_update"
-            ):
-                self.host_store.apply_update(
-                    delta.table_id, delta.feature_ids, delta.vectors
-                )
+        outcome = self.applier.apply_deltas(
+            [(delta.table_id, delta.feature_ids, delta.vectors)
+             for delta in batch.deltas]
+        )
+        self._inc_outcome(outcome)
+        write_through = getattr(self.host_store, "apply_update", None)
+        if write_through is not None:
+            for delta in batch.deltas:
+                write_through(delta.table_id, delta.feature_ids, delta.vectors)
         self.applied_offset = batch.offset
         self.applied_version = batch.model_version
         self._applied_keys += batch.num_keys
         if batch.num_keys:
             self.obs.inc("refresh.applied_keys", batch.num_keys)
         self.obs.inc("refresh.applied_batches", 1)
-        return batch
 
-    def catch_up(
-        self, now: float, max_batches: Optional[int] = None, executor=None
-    ) -> int:
+    def catch_up(self, now: float, max_batches: Optional[int] = None) -> int:
         """Apply every due batch (up to ``max_batches``); returns count."""
         applied = 0
         while max_batches is None or applied < max_batches:
-            if self.apply_next(now, executor=executor) is None:
+            if self.apply_next(now) is None:
                 break
             applied += 1
         return applied

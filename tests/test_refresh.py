@@ -242,6 +242,16 @@ class TestUpdateSubscriber:
         assert subscriber.pending_keys(5.0) == 3
         assert subscriber.catch_up(now=5.0) == 1
 
+    def test_apply_batch_rejects_out_of_order_batch(self):
+        cache = build_cache()
+        log = self._stream(rounds=2)
+        subscriber = UpdateSubscriber(log, cache)
+        with pytest.raises(RefreshError):
+            subscriber.apply_batch(log.read(1))
+        assert subscriber.applied_offset == -1
+        subscriber.apply_batch(log.read(0))
+        assert subscriber.applied_offset == 0
+
     def test_write_through_to_host_store(self):
         calls = []
 

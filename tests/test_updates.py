@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.bench.profiling import layer_of
 from repro.core.config import FlecheConfig
 from repro.core.flat_cache import FlatCache
+from repro.core.precision import (
+    TIER_CODES, PrecisionConfig, dequantize_rows, quantize_rows,
+)
 from repro.core.updates import UpdateApplier
-from repro.errors import WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.gpusim.executor import Executor
+from repro.mempool.slab_pool import SlabMemoryPool
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 
@@ -148,3 +153,59 @@ class TestUpdateApplier:
         np.testing.assert_array_equal(
             cache.gather(outcome.locations), fresh
         )
+
+
+class TestMixedPrecisionRefresh:
+    def test_refresh_spanning_tier_classes(self):
+        """A refresh whose keys sit in fp32, fp16 and int8 classes writes
+        every class and re-quantizes at each entry's current tier."""
+        precision = PrecisionConfig(
+            enabled=True, fp32_share=0.4, fp16_share=0.3, int8_share=0.3,
+            eviction_policy="lfu",
+        )
+        specs = make_table_specs([1000], [16])
+        c = FlatCache(specs, FlecheConfig(cache_ratio=0.5, precision=precision))
+        ids = np.arange(40, dtype=np.uint64)
+        keys = c.encode(0, ids)
+        for _ in range(10):
+            c.observe_keys(keys[:4])  # a hot head lands fp32
+        for _ in range(2):
+            c.observe_keys(keys[:20])  # warm keys land fp16
+        c.admit_and_insert(keys, reference_vectors(0, ids, 16), 16)
+        before = c.index_lookup(keys)
+        codes = c.pool.tier_codes_of_locations(before.locations)
+        assert set(codes.tolist()) == {
+            TIER_CODES["fp32"], TIER_CODES["fp16"], TIER_CODES["int8"],
+        }
+
+        rows = np.random.default_rng(7).normal(size=(40, 16)).astype(
+            np.float32
+        )
+        outcome = UpdateApplier(c).apply(0, ids, rows)
+        assert outcome.refreshed == 40
+
+        after = c.index_lookup(keys)
+        np.testing.assert_array_equal(after.locations, before.locations)
+        got = c.gather(after.locations)
+        fp32 = codes == TIER_CODES["fp32"]
+        np.testing.assert_array_equal(got[fp32], rows[fp32])
+        for tier in ("fp16", "int8"):
+            mask = codes == TIER_CODES[tier]
+            payload, scales = quantize_rows(rows[mask], tier)
+            np.testing.assert_array_equal(
+                got[mask], dequantize_rows(payload, scales, tier)
+            )
+
+    def test_write_rejects_mixed_dimensions(self):
+        pool = SlabMemoryPool({8: 4, 16: 4})
+        locations = np.concatenate([pool.allocate(8, 1), pool.allocate(16, 1)])
+        with pytest.raises(SimulationError):
+            pool.write(locations, np.zeros((2, 8), np.float32))
+
+
+def test_refresh_code_is_its_own_profiler_layer():
+    assert layer_of("/x/src/repro/core/updates.py", "apply_deltas") == "refresh"
+    assert layer_of("/x/src/repro/refresh/subscriber.py", "apply_batch") == (
+        "refresh"
+    )
+    assert layer_of("/x/src/repro/core/flat_cache.py") == "workflow"
