@@ -7,9 +7,10 @@ GEMMs.  These micro-benchmarks time each vectorized unit in isolation:
 - **miss table**: ``InFlightMissTable`` publish/match/retire cycles
   (keys/s through the whole lifecycle);
 - **workflow**: ``FlecheEmbeddingLayer.query`` replaying one steady-state
-  batch (batches/s through encode/dedup/index/fetch/copy — phases 1-4);
-- **router**: :func:`~repro.cluster.router.plan_primary_streams` over a
-  vectorised-policy arrival stream (requests planned/s).
+  batch (batches/s through encode/dedup/index/fetch/copy — phases 1-4).
+
+Cluster dispatch planning is measured end to end instead, by the
+``bench_cluster.py`` runtime gate.
 
 ``--pin`` rewrites the pinned ``BENCH_hotpath_micro_baseline.json``;
 ``check_regression.py`` fails CI when any unit drops below
@@ -27,11 +28,8 @@ from repro import FlecheConfig, default_platform
 from repro.bench.reporting import (
     emit, emit_json, format_rate, format_table, load_artifact,
 )
-from repro.cluster.router import plan_primary_streams
-from repro.cluster.routing import make_policy
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.gpusim.executor import Executor
-from repro.serving.arrivals import PoissonArrivals
 from repro.serving.pipeline import InFlightMissTable
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import synthetic_dataset, uniform_tables_spec
@@ -100,42 +98,10 @@ def run_workflow_micro(hw, batch_size=4_096, rounds=32):
     }
 
 
-def run_router_micro(num_replicas=8, num_requests=20_000, rounds=12):
-    """Fault-free dispatch planning (policy + stream grouping) plans/s."""
-    dataset = uniform_tables_spec(
-        num_tables=4, corpus_size=20_000, alpha=-1.2, dim=16,
-    )
-    requests = PoissonArrivals(dataset, 1_000_000.0, seed=11).generate(
-        num_requests
-    )
-    policy = make_policy("hash", num_replicas)
-    arrivals = np.fromiter(
-        (r.arrival_time for r in requests), np.float64, count=num_requests
-    )
-    request_ids = np.fromiter(
-        (r.request_id for r in requests), np.int64, count=num_requests
-    )
-    started = time.perf_counter()
-    for _ in range(rounds):
-        owners = policy.primary_many(requests)
-        plans = plan_primary_streams(owners, arrivals, request_ids)
-    elapsed = time.perf_counter() - started
-    planned = sum(m.size for m in plans.values())
-    assert planned == num_requests
-    return {
-        "plans_per_s": rounds * num_requests / elapsed,
-        "replicas": num_replicas,
-        "requests": num_requests,
-        "rounds": rounds,
-        "elapsed_s": elapsed,
-    }
-
-
 #: unit -> (runner needs hw?, headline metric key).
 UNITS = (
     ("miss_table", "keys_per_s"),
     ("workflow", "batches_per_s"),
-    ("router", "plans_per_s"),
 )
 
 
@@ -144,7 +110,6 @@ def run_micro(hw):
     return {
         "miss_table": run_miss_table_micro(),
         "workflow": run_workflow_micro(hw),
-        "router": run_router_micro(),
     }
 
 

@@ -52,7 +52,6 @@ from repro.refresh import (
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
-from repro.serving.server import InferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
@@ -90,9 +89,9 @@ POLICIES = {
 
 
 def _serve_under_outage(
-    hw, dataset, outage_fraction, policy, depth=None, collector=None
+    hw, dataset, outage_fraction, policy, depth=1, collector=None
 ):
-    """Serve one faulty stream; ``depth`` switches to the pipelined loop.
+    """Serve one faulty stream at pipeline ``depth`` (1 = sequential).
 
     ``collector`` (a :class:`~repro.obs.WindowedCollector`, usually with
     an SLO engine attached) turns the run into windowed series so
@@ -111,15 +110,10 @@ def _serve_under_outage(
     )
     layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
     batching = BatchingPolicy(max_batch_size=64, max_delay=5e-4)
-    if depth is None:
-        server = InferenceServer(
-            dataset, layer, hw, policy=batching, collector=collector,
-        )
-    else:
-        server = PipelinedInferenceServer(
-            dataset, layer, hw, policy=batching, depth=depth,
-            collector=collector,
-        )
+    server = PipelinedInferenceServer(
+        dataset, layer, hw, policy=batching, depth=depth,
+        collector=collector,
+    )
     requests = PoissonArrivals(dataset, RATE, seed=5).generate_until(HORIZON)
     return server.serve(requests)
 

@@ -8,18 +8,17 @@ sustain within a latency SLA.
 
 The pipelined-serving study sweeps the pipeline depth of
 :class:`~repro.serving.pipeline.PipelinedInferenceServer` under a
-saturating load on two dataset replicas: depth 1 must reproduce the
-sequential loop bit-for-bit, and depth >= 2 must buy throughput-at-SLA
-and/or tail latency through inter-batch overlap.  Machine-readable
-results land in ``benchmarks/results/BENCH_serving.json``.
+saturating load on two dataset replicas: depth 1 is the sequential
+loop, and depth >= 2 must buy throughput-at-SLA and/or tail latency
+through inter-batch overlap.  Machine-readable results land in
+``benchmarks/results/BENCH_serving_full.json`` (full sweep) or
+``BENCH_serving.json`` (``--smoke``), one artifact per mode.
 
 Runs standalone too: ``python benchmarks/bench_serving_sla.py --smoke``
 executes a reduced sweep with the same invariant checks (the CI smoke).
 """
 
 import copy
-
-import numpy as np
 
 from repro import FlecheConfig, SpanTracer
 from repro.baselines.per_table_cache import PerTableCacheLayer, PerTableConfig
@@ -38,7 +37,6 @@ from repro.core.workflow import FlecheEmbeddingLayer
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
-from repro.serving.server import InferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
@@ -76,9 +74,9 @@ def test_serving_sla_attainment(hw, run_once):
             ("fleche", FlecheEmbeddingLayer(
                 store, FlecheConfig(cache_ratio=0.05), hw)),
         ):
-            server = InferenceServer(
+            server = PipelinedInferenceServer(
                 dataset, layer, hw, policy=policy, model=model,
-                include_dense=True,
+                include_dense=True, depth=1,
             )
             # Warm the cache with one preliminary stream.
             warm = PoissonArrivals(dataset, 200_000.0, seed=1).generate(800)
@@ -145,14 +143,11 @@ def _summarise(report, depth):
 
 def run_depth_sweep(hw, replicas=REPLICAS, depths=SWEEP_DEPTHS,
                     num_requests=4_000, rate=SATURATING_RATE):
-    """Sequential loop vs pipelined depths on each dataset replica.
+    """Pipeline depths on each dataset replica.
 
-    Returns ``(summaries, checks)``: per-(replica, label) metric dicts,
-    and the byte-identity comparison of depth 1 against the sequential
-    loop (computed here because it needs the raw reports).
+    Returns per-(replica, ``depth{d}``) metric dicts.
     """
     summaries = {}
-    checks = {}
     for rname, spec_kwargs in replicas:
         dataset = uniform_tables_spec(**spec_kwargs)
         model = __import__("repro").DeepCrossNetwork(
@@ -175,20 +170,20 @@ def run_depth_sweep(hw, replicas=REPLICAS, depths=SWEEP_DEPTHS,
         # post-warm (cache, registry, tuner) state is identical across
         # configs — serve it once and deep-copy the warmed engine into
         # each server (store/model/hw stay shared; they are pure).
-        proto = InferenceServer(
+        proto = PipelinedInferenceServer(
             dataset,
             FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw),
-            hw, policy=policy, model=model, include_dense=True,
+            hw, policy=policy, model=model, include_dense=True, depth=1,
         )
         proto.serve(warm)
 
-        def make_server(cls, steal=False, **kwargs):
+        def make_server(depth, steal=False):
             layer = FlecheEmbeddingLayer(
                 store, FlecheConfig(cache_ratio=0.05), hw
             )
-            server = cls(
+            server = PipelinedInferenceServer(
                 dataset, layer, hw, policy=policy, model=model,
-                include_dense=True, **kwargs,
+                include_dense=True, depth=depth,
             )
             if steal:
                 # Last consumer of the warmed engine: take it directly.
@@ -208,37 +203,22 @@ def run_depth_sweep(hw, replicas=REPLICAS, depths=SWEEP_DEPTHS,
             server.scheme = server.engine.scheme
             return server
 
-        seq_report = make_server(InferenceServer).serve(reqs)
-        summaries[(rname, "sequential")] = _summarise(seq_report, 0)
         for depth in depths:
             report = make_server(
-                PipelinedInferenceServer, depth=depth,
-                steal=depth == depths[-1],
+                depth, steal=depth == depths[-1]
             ).serve(reqs)
             summaries[(rname, f"depth{depth}")] = _summarise(report, depth)
-            if depth == 1:
-                checks[rname] = {
-                    "latencies_equal": bool(np.array_equal(
-                        seq_report.latencies, report.latencies)),
-                    "probabilities_equal": bool(np.array_equal(
-                        seq_report.probabilities, report.probabilities)),
-                    "hits_equal": seq_report.hits == report.hits
-                    and seq_report.misses == report.misses
-                    and seq_report.unified_hits == report.unified_hits,
-                }
-    return summaries, checks
+    return summaries
 
 
-def check_depth_sweep(summaries, checks, depths=SWEEP_DEPTHS):
+def check_depth_sweep(summaries, depths=SWEEP_DEPTHS):
     """The depth-sweep invariants (shared by pytest and --smoke)."""
     replicas = sorted({rname for rname, _ in summaries})
+    assert 1 in depths, "sweep needs the depth-1 (sequential) row"
     for rname in replicas:
-        # Depth 1 reproduces the sequential loop bit-for-bit.
-        assert checks[rname]["latencies_equal"], rname
-        assert checks[rname]["probabilities_equal"], rname
-        assert checks[rname]["hits_equal"], rname
-        # Depth >= 2 buys throughput-at-SLA and/or tail latency.
-        seq = summaries[(rname, "sequential")]
+        # Depth >= 2 buys throughput-at-SLA and/or tail latency over the
+        # sequential depth-1 loop.
+        seq = summaries[(rname, "depth1")]
         overlapped = [
             summaries[(rname, f"depth{d}")] for d in depths if d >= 2
         ]
@@ -257,14 +237,13 @@ def check_depth_sweep(summaries, checks, depths=SWEEP_DEPTHS):
 
 
 def emit_depth_sweep(summaries, depths=SWEEP_DEPTHS, runtime_s=None,
-                     extra_name=None):
-    """Text table + BENCH_serving.json from depth-sweep summaries.
+                     name="BENCH_serving_full"):
+    """Text table + the ``name`` JSON artifact from depth-sweep summaries.
 
-    ``extra_name`` writes the same artifact under a second name — the
-    full-mode CLI run uses it so ``BENCH_serving_full.json`` survives the
-    smoke run overwriting ``BENCH_serving.json``, and
-    ``check_regression.py`` can hold the full run to the two-sided
-    runtime gate.
+    Each mode writes its own artifact — ``BENCH_serving_full.json`` for
+    the full sweep, ``BENCH_serving.json`` for ``--smoke`` — so
+    ``check_regression.py`` compares each against its own baseline
+    whatever order the two runs happen in.
     """
     rows = []
     payload = {}
@@ -293,15 +272,13 @@ def emit_depth_sweep(summaries, depths=SWEEP_DEPTHS, runtime_s=None,
     }
     if runtime_s is not None:
         artifact["runtime_s"] = runtime_s
-    emit_json("BENCH_serving", artifact)
-    if extra_name is not None:
-        emit_json(extra_name, artifact)
+    emit_json(name, artifact)
 
 
 def test_serving_pipeline_depth_sweep(hw, run_once):
-    summaries, checks = run_once(run_depth_sweep, hw)
+    summaries = run_once(run_depth_sweep, hw)
     emit_depth_sweep(summaries)
-    check_depth_sweep(summaries, checks)
+    check_depth_sweep(summaries)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +402,13 @@ def main(argv=None):
         depths = SWEEP_DEPTHS
         sweep_kwargs = dict(depths=depths)
     with maybe_section(profiler, "depth_sweep"):
-        summaries, checks = run_depth_sweep(hw, **sweep_kwargs)
+        summaries = run_depth_sweep(hw, **sweep_kwargs)
     emit_depth_sweep(
         summaries, depths=depths,
         runtime_s=time.perf_counter() - started,
-        extra_name=None if args.smoke else "BENCH_serving_full",
+        name="BENCH_serving" if args.smoke else "BENCH_serving_full",
     )
-    check_depth_sweep(summaries, checks, depths=depths)
+    check_depth_sweep(summaries, depths=depths)
     # Side section stays out of the cProfile attribution: the pinned
     # pre-rewrite layer profile covers the depth sweep only.
     with maybe_section(profiler, "traced_observability", cprofile=False):

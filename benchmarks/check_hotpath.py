@@ -33,7 +33,6 @@ import sys
 HOT_PATH_FILES = {
     "src/repro/serving/pipeline.py": 3,   # match / publish / retire
     "src/repro/core/workflow.py": 3,      # encode / dedup / _query_stages
-    "src/repro/cluster/router.py": 2,     # plan_primary_streams / fault-free
     "src/repro/serving/batcher.py": 1,    # form_batches
     "src/repro/hashindex/slab_hash.py": 3,  # lookup_slots / insert / erase
     "src/repro/tables/embedding_table.py": 1,  # lookup

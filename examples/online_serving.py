@@ -23,7 +23,7 @@ from repro.bench.reporting import format_table, format_time
 from repro.core.snapshot import restore, snapshot
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
-from repro.serving.server import InferenceServer
+from repro.serving.pipeline import PipelinedInferenceServer
 
 SLA = 2e-3  # 2 ms latency budget
 
@@ -45,8 +45,9 @@ def main() -> None:
     ):
         if name == "Fleche":
             fleche_layer = layer
-        server = InferenceServer(
+        server = PipelinedInferenceServer(
             dataset, layer, hw, policy=policy, model=model, include_dense=True,
+            depth=1,
         )
         server.serve(PoissonArrivals(dataset, 200_000.0, seed=1).generate(800))
         for rate in (400_000, 2_400_000):
@@ -71,8 +72,9 @@ def main() -> None:
     probe = PoissonArrivals(dataset, 200_000.0, seed=3).generate(600)
     restart_rows = []
     for label, layer in (("cold restart", cold), ("warm restart", warm)):
-        server = InferenceServer(
+        server = PipelinedInferenceServer(
             dataset, layer, hw, policy=policy, model=model, include_dense=True,
+            depth=1,
         )
         report = server.serve(probe)
         restart_rows.append([

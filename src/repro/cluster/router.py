@@ -7,8 +7,9 @@ separated from execution so a run stays a pure function of
 
 1. **Detect** — the :class:`~repro.cluster.health.HealthMonitor`
    precomputes every replica's health timeline from the fault schedule.
-2. **Plan** — each request is walked in arrival order: the routing
-   policy names a primary; crash windows turn dispatches into lost
+2. **Plan** — the routing policy names each request's primary (in one
+   call for the stateless policies), then requests are walked in
+   arrival order: crash windows turn dispatches into lost
    sends (re-dispatched to the next live replica after
    ``dispatch_timeout``, or immediately once the per-replica circuit
    breaker opens); detected-dead and suspect windows fail over at
@@ -273,29 +274,6 @@ class ClusterReport:
         }
 
 
-# hot-path: vectorized
-def plan_primary_streams(
-    owners: np.ndarray,
-    arrivals: np.ndarray,
-    request_ids: np.ndarray,
-) -> "Dict[int, np.ndarray]":
-    """Group fault-free primary dispatches into per-replica streams.
-
-    The planning kernel of :meth:`ClusterRouter._serve_fault_free` (and
-    the unit ``bench_hotpath_micro.py`` times): one ``np.lexsort`` per
-    owning replica orders its stream by ``(arrival, request_id)`` with
-    ties kept stable — ``np.lexsort``'s last key is primary.  Returns
-    ``owner -> member index array`` in ascending owner order.
-    """
-    streams: Dict[int, np.ndarray] = {}
-    for owner in np.unique(owners).tolist():  # lint: allow-loop (per replica)
-        member = np.flatnonzero(owners == owner)
-        streams[owner] = member[
-            np.lexsort((request_ids[member], arrivals[member]))
-        ]
-    return streams
-
-
 class ClusterRouter(Observable):
     """N cache-equipped serving replicas behind one routed front end."""
 
@@ -450,103 +428,6 @@ class ClusterRouter(Observable):
 
     # ------------------------------------------------------------ serving
 
-    def _fault_free(self, episodes: Dict[int, _CrashEpisode]) -> bool:
-        """True when no fault machinery can engage in this run.
-
-        Requires an empty fault schedule (so every slow factor is 1.0 and
-        nothing is ever lost), no crash episodes, and every precomputed
-        health timeline pinned at healthy — under which the per-request
-        planner reduces to "dispatch each request to its primary".
-        """
-        if episodes or self.schedule.events:
-            return False
-        return all(
-            len(h.transitions) == 1 and h.transitions[0].state == HEALTHY
-            for h in self.health.values()
-        )
-
-    # hot-path: vectorized
-    def _serve_fault_free(
-        self,
-        requests: Sequence,
-        episodes: Dict[int, _CrashEpisode],
-        horizon: float,
-        before,
-    ) -> Optional[ClusterReport]:
-        """Steady-state serving as per-replica array operations.
-
-        The hot path of a healthy cluster: plan every primary in one
-        vectorised policy call, group requests per replica with one
-        lexsort, and skip the dispatch-copy merge entirely (exactly one
-        valid primary completion per request, so the winner is known).
-        Byte-identical to the general planner because on an empty
-        schedule every slow factor is 1.0 (``x * 1.0 == x``), no hedge
-        or failover can fire, and the per-stream execution order —
-        ``(arrival, request_id)``, stable — is reproduced by the
-        lexsort.  Returns None whenever any fault machinery could
-        engage; the exact per-request planner runs instead.  Tracing
-        also routes through the general planner — it needs per-dispatch
-        stream tracers — which is timing-safe precisely because the two
-        paths are equivalent.
-        """
-        if self.trace_config is not None:
-            return None
-        if not self._fault_free(episodes):
-            return None
-        owners = self.policy.primary_many(requests)
-        if owners is None:
-            return None
-        reg = self.obs
-        cfg = self.config
-        n = len(requests)
-        arrivals = np.fromiter(
-            (r.arrival_time for r in requests), np.float64, count=n
-        )
-        request_ids = np.fromiter(
-            (r.request_id for r in requests), np.int64, count=n
-        )
-        latencies = np.full(n, inf)
-        stream_counts: Dict[Tuple[int, int], int] = {}
-        plans = plan_primary_streams(owners, arrivals, request_ids)
-        for owner, member in plans.items():  # lint: allow-loop (per replica)
-            stream = self.replicas[owner].serve(
-                [requests[i] for i in member]
-            )
-            # finish = at + latency * slow_factor with factor == 1.0.
-            finish = arrivals[member] + np.asarray(
-                stream.latencies, dtype=np.float64
-            )
-            latencies[member] = finish - arrivals[member]
-            stream_counts[(owner, 0)] = int(member.size)
-        dispositions: List[str] = [DISPATCH_PRIMARY] * n
-        reg.inc("cluster.served_primary", n)
-        reg.inc("cluster.served_failover", 0)
-        reg.inc("cluster.served_hedge", 0)
-        reg.inc("cluster.shed", 0)
-
-        alerts = (
-            self.monitor.health_alerts(self.health) if cfg.failover else []
-        )
-        alerts.extend(self._staleness_alerts(episodes, horizon))
-        for replica in self.replicas:  # lint: allow-loop (per replica)
-            if replica.subscriber is not None:
-                replica.subscriber.catch_up(horizon)
-                replica.subscriber.refresh_gauges(horizon)
-        per_replica = self._replica_summaries(stream_counts, horizon)
-
-        reg.check()
-        delta = reg.snapshot().diff(before)
-        return ClusterReport(
-            latencies=latencies,
-            arrival_times=arrivals,
-            dispositions=dispositions,
-            per_replica=per_replica,
-            health=self.health,
-            alerts=alerts,
-            episodes=[],
-            metrics=delta,
-        )
-
     def serve(self, requests: Sequence) -> ClusterReport:
         if not requests:
             raise WorkloadError("no requests to serve")
@@ -586,10 +467,6 @@ class ClusterRouter(Observable):
         )
         episodes = self._episodes()
 
-        report = self._serve_fault_free(requests, episodes, horizon, before)
-        if report is not None:
-            return report
-
         streams: Dict[Tuple[int, int], List[_Dispatch]] = {}
         per_index: List[List[_Dispatch]] = [[] for _ in range(n)]
 
@@ -613,14 +490,23 @@ class ClusterRouter(Observable):
                 return None
             return plan(index, target, at, DISPATCH_FAILOVER, cause=cause)
 
+        # Stateless policies (hash, table-shard) name every primary in one
+        # call; they ignore the healthy set, so this equals asking per
+        # request.  Load-aware ones answer per request from their history.
+        owners = self.policy.primary_many(requests)
+        if owners is not None:
+            owners = owners.tolist()
         for index, request in enumerate(requests):
             t = request.arrival_time
-            healthy = (
-                [r for r in range(cfg.num_replicas)
-                 if self.health[r].routable_at(t)]
-                if cfg.failover else list(range(cfg.num_replicas))
-            )
-            owner = self.policy.primary(request, healthy)
+            if owners is not None:
+                owner = owners[index]
+            else:
+                healthy = (
+                    [r for r in range(cfg.num_replicas)
+                     if self.health[r].routable_at(t)]
+                    if cfg.failover else list(range(cfg.num_replicas))
+                )
+                owner = self.policy.primary(request, healthy)
             episode = episodes.get(owner)
 
             if not cfg.failover:

@@ -61,12 +61,12 @@ class RoutingPolicy:
     def primary_many(
         self, requests: Sequence[Request]
     ) -> Optional[np.ndarray]:
-        """Vectorised primaries for a whole arrival stream, assuming every
-        replica is routable throughout.
+        """Vectorised primaries for a whole arrival stream.
 
-        Returns None when the policy cannot answer in bulk (load-aware
-        policies depend on dispatch history and the per-request healthy
-        set); the router then falls back to per-request planning.
+        Equals ``[primary(r, healthy) for r in requests]`` for any
+        ``healthy`` set.  Returns None when the policy cannot answer in
+        bulk (load-aware policies depend on dispatch history and the
+        per-request healthy set); the router then asks per request.
         """
         return None
 

@@ -58,8 +58,8 @@ class CacheQueryResult:
         unique_keys: deduplicated key count of the batch.
         total_keys: raw key count of the batch.
         coalesced_keys: missed keys served from another in-flight batch's
-            pending fetch instead of a fresh DRAM/remote query (pipelined
-            serving only; always 0 on the sequential path).
+            pending fetch instead of a fresh DRAM/remote query (always 0
+            at pipeline depth 1, where no two batches are in flight).
         coalesced_degraded: coalesced keys whose shared fetch had served a
             degraded (stale/default) vector.
         promoted_keys: cached entries moved to a hotter (more precise)

@@ -30,8 +30,8 @@ Segment taxonomy
     in-flight batch's pending fetch — waiting on someone else's I/O,
     not its own.
 ``refresh``
-    a refresh quantum overran into the dispatch slot (sequential loop
-    only; the pipelined scheduler is idle-bounded by construction).
+    an aggressive refresh quantum overran its idle slot and delayed a
+    stage (an idle-bounded scheduler never charges it).
 ``hedge_wait`` / ``failover_redispatch`` / ``breaker_fastfail``
     the routing hop when the winning dispatch was a hedge copy, a
     re-dispatch after a lost send / lost in-flight response, or an

@@ -12,8 +12,7 @@ Perfetto.
 
 Span taxonomy used by the serving loops:
 
-* track ``lane{k}`` — pipeline lane ``batch_index % depth`` (the
-  sequential server uses the single track ``serving``);
+* track ``lane{k}`` — pipeline lane ``batch_index % depth``;
 * name ``b{i}:{stage}`` — batch ``i`` executing ``stage``;
 * category — the stage name (``index``/``fetch``/``copy``/``dense``), or
   ``queue`` for the wait between batch formation and first dispatch.

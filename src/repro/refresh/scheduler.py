@@ -13,9 +13,9 @@ scheduler estimates each pending batch's kernel cost on a scratch
 simulated-hardware executor (memoised per batch shape), inflates it by
 any active ``SlowSubscriber`` fault factor, and applies a batch only if
 it completes before ``end`` — unless constructed ``aggressive=True``, in
-which case slots may be overrun (the sequential server absorbs this by
-delaying the next batch, making the SLA cost of greedy refresh
-measurable).
+which case slots may be overrun.  The serving loop (at any pipeline
+depth) then holds every resource until the quantum ends and starts the
+delayed stage there, making the SLA cost of greedy refresh measurable.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class RefreshScheduler:
         hw: simulated hardware the update kernels are costed on.
         quantum_keys: at most this many keys per idle slot — the
             staleness/SLA knob the benchmark sweeps.
-        aggressive: allow a quantum to overrun the slot (sequential
-            serving only; the pipelined loop always stays idle-bounded).
+        aggressive: allow a quantum to overrun the slot; the serving
+            loop delays the next stage until it ends.
         schedule: optional fault schedule for ``SlowSubscriber`` windows.
     """
 

@@ -8,15 +8,14 @@ This package closes that loop:
   and bursty) over a dataset's sparse-feature distribution;
 * :mod:`repro.serving.batcher` — dynamic batch formation with a max batch
   size and a batching timeout, the standard inference-server policy;
-* :mod:`repro.serving.server` — the queueing simulation: requests arrive,
-  batches form, the engine serves them on the simulated platform, and
-  per-request latencies (queueing + batching + compute) come out, so
-  SLA-attainment curves under offered load can be measured for any cache
-  scheme;
-* :mod:`repro.serving.pipeline` — the pipelined serving engine: up to
-  ``depth`` batches in flight on separate simulated streams, stages
-  overlapped across batches with the host thread and PCIe link serialized,
-  plus cross-batch in-flight miss coalescing.
+* :mod:`repro.serving.pipeline` — the serving loop: requests arrive,
+  batches form, and up to ``depth`` batches run in flight on the
+  simulated platform, stages overlapped across batches with the host
+  thread and PCIe link serialized, plus cross-batch in-flight miss
+  coalescing (``depth=1`` is the sequential loop);
+* :mod:`repro.serving.server` — the :class:`ServingReport`: per-request
+  latencies (queueing + batching + compute), so SLA-attainment curves
+  under offered load can be measured for any cache scheme.
 """
 
 from .arrivals import PoissonArrivals, BurstyArrivals, Request
@@ -26,7 +25,7 @@ from .pipeline import (
     InFlightMissTable,
     PipelinedInferenceServer,
 )
-from .server import InferenceServer, ServingReport
+from .server import ServingReport
 
 __all__ = [
     "PoissonArrivals",
@@ -34,7 +33,6 @@ __all__ = [
     "Request",
     "BatchingPolicy",
     "FormedBatch",
-    "InferenceServer",
     "ServingReport",
     "PipelinedInferenceServer",
     "InFlightMissTable",

@@ -21,8 +21,8 @@ timelines):
   miss payloads stream over the wire;
 * the **GPU** — held by the ``copy`` and ``dense`` stages (their few
   sub-microsecond kernel-launch slices are assumed to interleave freely:
-  the pipelined loop is event-driven, never blocking the host thread on a
-  stream the way the sequential loop's synchronize does).
+  the loop is event-driven and never blocks the host thread on a stream
+  synchronize).
 
 Cross-batch **in-flight miss coalescing** rides on the overlap window:
 when consecutive in-flight batches miss the same flat key, only the first
@@ -31,9 +31,10 @@ followers take the vectors from the :class:`InFlightMissTable` — the
 thundering-herd suppression for hot new keys.  Entries retire when their
 owning batch leaves the pipeline.
 
-At ``depth=1`` the scheduler degenerates to the sequential loop exactly:
-one batch in flight, stages back-to-back, an empty in-flight table — the
-same operations in the same order as :class:`InferenceServer.serve`.
+At ``depth=1`` the scheduler is the sequential serving loop: one batch
+in flight, stages back-to-back, an empty in-flight table.  Model-refresh
+quanta (:class:`~repro.refresh.scheduler.RefreshScheduler`) run in the
+idle slots between stages at every depth.
 """
 
 from __future__ import annotations
@@ -48,13 +49,21 @@ from ..core.cache_base import (
     STAGE_DENSE,
     STAGE_FETCH,
     STAGE_INDEX,
+    EmbeddingCacheScheme,
 )
+from ..core.engine import InferenceEngine
 from ..errors import ConfigError, WorkloadError
 from ..gpusim.executor import Executor, SharedResource
-from ..obs.registry import Observable
+from ..hardware import HardwareSpec
+from ..model.dcn import DeepCrossNetwork
+from ..obs.registry import MetricsRegistry, MetricsSnapshot, Observable
+from ..obs.spans import SpanTracer
+from ..obs.timeseries import DEFAULT_LATENCY_BUCKETS, WindowedCollector
+from ..workloads.spec import DatasetSpec
+from ..workloads.trace import TraceBatch
 from .arrivals import Request
-from .batcher import FormedBatch, form_batches
-from .server import InferenceServer, ServingReport
+from .batcher import BatchingPolicy, FormedBatch, form_batches
+from .server import ServingReport
 
 #: Which serial resources each stage occupies for its whole duration.
 STAGE_RESOURCES: Dict[str, tuple] = {
@@ -261,8 +270,8 @@ class _InFlightBatch:
         self.start: Optional[float] = None
         #: Accumulated time spent waiting on busy shared resources.  Stage
         #: ends are computed as ``start + (stall + executor elapsed)`` so
-        #: an uncontended batch's finish is bit-for-bit the sequential
-        #: loop's ``start + service_time`` (stall stays exactly 0.0).
+        #: an uncontended batch's finish is bit-for-bit
+        #: ``start + service_time`` (stall stays exactly 0.0).
         self.stall = 0.0
         self.degraded = False
         #: Request-tracing record (None unless a tracer is attached).
@@ -282,22 +291,195 @@ class PipelineRunInfo:
     depth: int = 1
 
 
-class PipelinedInferenceServer(InferenceServer):
-    """Serving loop executing up to ``depth`` batches concurrently.
+class PipelinedInferenceServer:
+    """Single-GPU serving loop executing up to ``depth`` batches at once.
 
-    ``depth=1`` reproduces :class:`InferenceServer.serve` exactly (same
-    operations, same order, same simulated instants).  ``coalesce``
-    enables the cross-batch in-flight miss table (inert at depth 1, where
-    no two batches are ever in flight together).
+    ``depth=1`` is the sequential case: one batch in flight, its stages
+    back-to-back.  ``coalesce`` enables the cross-batch in-flight miss
+    table (inert at depth 1, where no two batches are ever in flight
+    together).
     """
 
-    def __init__(self, *args, depth: int = 2, coalesce: bool = True, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        dataset: DatasetSpec,
+        scheme: EmbeddingCacheScheme,
+        hw: HardwareSpec,
+        policy: Optional[BatchingPolicy] = None,
+        model: Optional[DeepCrossNetwork] = None,
+        include_dense: bool = False,
+        tracer: Optional[SpanTracer] = None,
+        collector: Optional[WindowedCollector] = None,
+        refresher=None,
+        reqtracer=None,
+        autotuner=None,
+        *,
+        depth: int = 2,
+        coalesce: bool = True,
+    ):
         if depth < 1:
             raise ConfigError("pipeline depth must be >= 1")
         self.depth = depth
         self.coalesce = coalesce
         self.last_run: Optional[PipelineRunInfo] = None
+        self.dataset = dataset
+        self.scheme = scheme
+        self.hw = hw
+        self.policy = policy or BatchingPolicy()
+        #: optional :class:`~repro.refresh.scheduler.RefreshScheduler`;
+        #: when set, model-update quanta run in the idle slots between
+        #: stages.  An aggressive scheduler's quantum may overrun its
+        #: slot: the stage it delays starts at the quantum's end, and
+        #: traces charge the delay as ``refresh_wait``.
+        self.refresher = refresher
+        #: optional serving-level span tracer (one span per batch stage on
+        #: the absolute simulated clock; exports Chrome trace JSON).
+        self.tracer = tracer
+        #: optional :class:`~repro.obs.reqtrace.RequestTracer` — per-request
+        #: distributed tracing with bounded-overhead sampling.  ``None``
+        #: (the default) leaves every serving code path byte-identical to
+        #: an untraced run: no ``reqtrace.*`` counter is ever incremented.
+        self.reqtracer = reqtracer
+        self.engine = InferenceEngine(
+            scheme,
+            hw,
+            model=model,
+            ids_per_field=dataset.ids_per_field,
+            include_dense=include_dense and model is not None,
+        )
+        self.engine.obs.declare_buckets(
+            "serving.latency", DEFAULT_LATENCY_BUCKETS
+        )
+        #: optional windowed time-series collector, fed at each batch's
+        #: completion instant on the simulated clock.
+        self.collector = collector
+        if collector is not None:
+            collector.bind(self.engine.obs)
+        #: optional :class:`~repro.autotune.AdaptiveController` — the
+        #: closed-loop retuner, fed after every batch completion.  ``None``
+        #: (or a disabled controller) leaves every serving code path
+        #: byte-identical to an untuned run: no cache knob is touched and
+        #: no ``autotune.*`` metric is ever created.
+        self.autotuner = autotuner
+        if autotuner is not None:
+            autotuner.attach(self)
+
+    @property
+    def obs(self) -> MetricsRegistry:
+        """The engine's metrics registry (single source of truth)."""
+        return self.engine.obs
+
+    def _to_trace_batch(self, batch: FormedBatch) -> TraceBatch:
+        # Hot path: when every table draws the same number of ids per
+        # request (the common workload shape), one C-level stack builds a
+        # (requests, tables, ids) cube and each table's id column is a
+        # single reshape — no per-request concatenate loop.
+        requests = batch.requests
+        # Fastest path: every request carries a (cube, row) source handle
+        # into one shared id cube — the whole batch is a single gather.
+        src = getattr(requests[0], "source", None)
+        if src is not None:
+            cube = src[0]
+            rows = np.empty(len(requests), dtype=np.intp)
+            for i, r in enumerate(requests):
+                s = r.source
+                if s is None or s[0] is not cube:
+                    rows = None
+                    break
+                rows[i] = s[1]
+            if rows is not None and cube.ndim == 3:
+                stacked = cube[rows]
+                ids_per_table = [
+                    stacked[:, table, :].reshape(-1)
+                    for table in range(self.dataset.num_tables)
+                ]
+                return TraceBatch(ids_per_table=ids_per_table,
+                                  batch_size=len(requests))
+        try:
+            stacked = np.asarray(
+                [r.feature_ids for r in requests], dtype=np.uint64
+            )
+        except ValueError:
+            stacked = None
+        if stacked is not None and stacked.ndim == 3:
+            ids_per_table = [
+                stacked[:, table, :].reshape(-1)
+                for table in range(self.dataset.num_tables)
+            ]
+        else:  # ragged per-table id counts: exact per-table fallback
+            ids_per_table = [
+                np.concatenate(
+                    [r.feature_ids[table] for r in requests]
+                ).astype(np.uint64)
+                for table in range(self.dataset.num_tables)
+            ]
+        return TraceBatch(ids_per_table=ids_per_table,
+                          batch_size=len(requests))
+
+    def _begin_run(self, requests: Sequence[Request]) -> MetricsSnapshot:
+        """Audit barrier at run entry; returns the pre-run snapshot.
+
+        The audit runs every registered hook (refreshing occupancy and
+        breaker gauges) and every conservation law, so a report is only
+        ever diffed between two verified registry states.
+        """
+        obs = self.obs
+        obs.check()
+        before = obs.snapshot()
+        obs.inc("serving.requests", len(requests))
+        return before
+
+    def _finalize_report(
+        self,
+        requests: Sequence[Request],
+        latencies: Sequence[float],
+        arrivals: Sequence[float],
+        sizes: List[int],
+        last_finish: float,
+        before: MetricsSnapshot,
+    ) -> ServingReport:
+        """Assemble the run's report from the registry delta.
+
+        Every counter-valued field is read from the registry delta across
+        the run — there is no independently-maintained accounting left in
+        the serving layer.
+        """
+        obs = self.obs
+        obs.observe_many("serving.latency", latencies)
+        obs.check()
+        delta = obs.snapshot().diff(before)
+        span = last_finish - min(r.arrival_time for r in requests)
+        report = ServingReport(
+            latencies=np.asarray(latencies),
+            batch_sizes=sizes,
+            served=int(delta.total("serving.requests")),
+            span=max(span, 1e-12),
+            arrival_times=np.asarray(arrivals),
+            hits=int(delta.total("cache.hits")),
+            misses=int(delta.total("cache.misses")),
+            unified_hits=int(delta.total("cache.unified_hits")),
+            coalesced_keys=int(delta.total("cache.coalesced_keys")),
+            degraded_requests=int(delta.total("serving.degraded_requests")),
+            retries=int(delta.total("faults.retries")),
+            hedges_fired=int(delta.total("faults.hedges_fired")),
+            breaker_open_time=float(delta.total("faults.breaker_open_time")),
+            traced_requests=int(delta.total("reqtrace.requests")),
+            sampled_traces=int(delta.total("reqtrace.sampled")),
+            metrics=delta,
+        )
+        for (name, labels), value in delta.counters.items():
+            if name == "reqtrace.rootcause" and value:
+                report.rootcause[dict(labels).get("cause", "")] = int(value)
+        store = getattr(self.scheme, "store", None)
+        if store is not None and hasattr(store, "fault_stats"):
+            report.fault_windows = store.fault_windows()
+        return report
+
+    def _trace_span(
+        self, track: str, batch_index: int, stage: str, t0: float, t1: float
+    ) -> None:
+        if self.tracer is not None:
+            self.tracer.record(track, f"b{batch_index}:{stage}", t0, t1, stage)
 
     # ------------------------------------------------------------------ serve
 
@@ -341,10 +523,10 @@ class PipelinedInferenceServer(InferenceServer):
                 arrival_arr,
             )
         #: Latest occupied instant across every shared resource; the gap
-        #: up to the next dispatch is a provably idle slot the refresher
-        #: may fill.  Refresh work is hard-capped at the dispatch instant
-        #: (the scheduler is idle-bounded here), so serving timing with a
-        #: refresher differs from without only through cache *contents*.
+        #: up to the next stage is a provably idle slot the refresher may
+        #: fill.  An idle-bounded scheduler stops at the slot's end, so
+        #: serving timing with it differs from without only through cache
+        #: *contents*; an aggressive one may delay the next stage.
         busy_until = 0.0
         finish_times = [0.0] * n
         probabilities: List[Optional[np.ndarray]] = [None] * n
@@ -411,8 +593,26 @@ class PipelinedInferenceServer(InferenceServer):
                 if chosen is None or key < chosen_key:
                     chosen, chosen_key, chosen_start = flight, key, candidate
 
-            if self.refresher is not None and chosen_start > busy_until:
-                self.refresher.run_idle(busy_until, chosen_start)
+            # Refresh quanta fill the idle slot before this stage (only a
+            # batch's first stage can start after every resource is
+            # idle).  An aggressive scheduler also gets the zero-length
+            # slot before each dispatch, and its quantum may overrun the
+            # slot: then every resource stays occupied until the quantum
+            # ends and the stage starts there.
+            slot_end = chosen_start
+            overrun = 0.0
+            refresher = self.refresher
+            if refresher is not None and (
+                chosen_start > busy_until
+                or (refresher.aggressive and chosen.start is None
+                    and chosen_start == busy_until)
+            ):
+                refreshed_until = refresher.run_idle(busy_until, slot_end)
+                if refreshed_until > slot_end:
+                    for resource in resources.values():
+                        resource.occupy(slot_end, refreshed_until)
+                    overrun = refreshed_until - slot_end
+                    chosen_start = refreshed_until
                 busy_until = chosen_start
 
             lane = f"lane{chosen.index % self.depth}"
@@ -422,20 +622,21 @@ class PipelinedInferenceServer(InferenceServer):
                 # into the dispatch instant itself, not counted as stall.
                 chosen.start = chosen_start
                 if chosen.trace is not None:
-                    chosen.trace.dispatched(chosen_start)
+                    chosen.trace.dispatched(slot_end)
+                    if overrun:
+                        chosen.trace.refresh_wait(overrun)
                 if (
                     self.tracer is not None
-                    and chosen_start > chosen.formed.formed_at
+                    and slot_end > chosen.formed.formed_at
                 ):
                     self._trace_span(
                         lane, chosen.index, "queue",
-                        chosen.formed.formed_at, chosen_start,
+                        chosen.formed.formed_at, slot_end,
                     )
             else:
                 wait = chosen_start - chosen.ready_at
                 chosen.stall += wait
-            # Align fault windows with this batch's dispatch instant (the
-            # same instant the sequential loop uses).
+            # Align fault windows with this batch's dispatch instant.
             self.engine.scheme.advance_clock(chosen.start)
             if coalescer is not None:
                 coalescer.set_owner(chosen.index)
@@ -518,9 +719,9 @@ class PipelinedInferenceServer(InferenceServer):
         if collector is not None:
             collector.flush(max(finish_times))
 
-        # Flatten per-request latencies in batch order (identical request
-        # ordering to the sequential loop): repeat each batch's finish
-        # over its contiguous request slice and subtract arrivals.
+        # Flatten per-request latencies in request order: repeat each
+        # batch's finish over its contiguous request slice and subtract
+        # arrivals.
         finish_arr = np.asarray(finish_times, dtype=np.float64)
         latencies = np.repeat(finish_arr, sizes_arr) - arrival_arr
         if rt is not None and rt.finalize_on_serve:

@@ -32,7 +32,7 @@ from repro.multitier.hierarchy import TieredParameterStore
 from repro.multitier.remote_ps import NetworkSpec, RemoteParameterServer
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
-from repro.serving.server import InferenceServer
+from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.synthetic import uniform_tables_spec
@@ -335,9 +335,10 @@ def _serving_setup(hw, retry_policy, breaker, outage):
         degrade=DegradeConfig(policy="stale"),
     )
     layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
-    server = InferenceServer(
+    server = PipelinedInferenceServer(
         dataset, layer, hw,
         policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        depth=1,
     )
     return dataset, server
 

@@ -6,15 +6,20 @@ change *nothing but speed*: metrics JSON, latency arrays, probabilities,
 Chrome traces, and cluster dispositions are required to stay byte-for-
 byte identical to the pre-rewrite implementation.  These tests pin
 sha256 digests of those artifacts, captured from the pre-rewrite code,
-over four deterministic scenarios:
+over five deterministic scenarios:
 
 - ``serving_pipelined``: a traced, collected depth-2 pipelined run
   (exercises the miss table, scheduler, workflow phases, registry).
-- ``serving_sequential``: the same workload through the sequential loop.
-- ``cluster_fault_free``: a 3-replica hash-routed run with no faults
-  (the router's vectorized fast path).
+- ``serving_depth1``: the same workload at depth 1.  Its latency,
+  probability and hit digests equal the former sequential loop's.
+- ``serving_aggressive_refresh``: a request-traced depth-1 run with an
+  aggressive refresh scheduler whose quanta overrun their idle slots
+  and delay the next batch.  Latencies, probabilities, counters (the
+  in-flight miss table's ``coalescer.*`` aside) and the root-cause
+  summary were captured from the former sequential loop.
+- ``cluster_fault_free``: a 3-replica hash-routed run with no faults.
 - ``cluster_faulty``: the same cluster under a crash + a slowdown with
-  hedging enabled (the router's general fallback path).
+  hedging enabled.
 
 Regenerate (only when an *intentional* behavior change lands)::
 
@@ -40,11 +45,13 @@ from repro.faults.schedule import (
 )
 from repro.model.trainer import EmbeddingDeltaTrainer
 from repro.obs import WindowedCollector, default_serving_slos
-from repro.refresh import UpdateLog, UpdatePublisher
+from repro.obs.reqtrace import RequestTracer, TraceConfig
+from repro.refresh import (
+    RefreshScheduler, UpdateLog, UpdatePublisher, UpdateSubscriber,
+)
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
-from repro.serving.server import InferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
@@ -117,8 +124,73 @@ def scenario_serving_pipelined(hw):
     return _serving_fixture(hw, PipelinedInferenceServer, depth=2)
 
 
-def scenario_serving_sequential(hw):
-    return _serving_fixture(hw, InferenceServer)
+def scenario_serving_depth1(hw):
+    return _serving_fixture(hw, PipelinedInferenceServer, depth=1)
+
+
+def _aggressive_refresh_fixture(hw, cls, **kwargs):
+    """A depth-1 run whose aggressive refresh quanta overrun their slots.
+
+    The reduced ``bench_refresh.py`` workload at its highest rate
+    (800k req/s, quantum 512): idle slots are short, so greedy quanta
+    run past the next dispatch and delay it.
+    """
+    dataset = uniform_tables_spec(
+        num_tables=8, corpus_size=20_000, alpha=-1.2, dim=32,
+    )
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
+    model = DeepCrossNetwork(
+        num_tables=dataset.num_tables, embedding_dim=dataset.dim,
+    )
+    server = cls(
+        dataset, layer, hw,
+        policy=BatchingPolicy(max_batch_size=512, max_delay=5e-4),
+        model=model, include_dense=True, **kwargs,
+    )
+    server.serve(PoissonArrivals(dataset, 200_000.0, seed=1).generate(800))
+    reqs = PoissonArrivals(dataset, 800_000.0, seed=2).generate(1_200)
+    horizon = reqs[-1].arrival_time
+    log = UpdateLog(retention=4096)
+    publisher = UpdatePublisher(log, max_batch_keys=512)
+    publisher.bind_observability(server.obs)
+    trainer = EmbeddingDeltaTrainer(
+        [spec.corpus_size for spec in dataset.table_specs()],
+        [spec.dim for spec in dataset.table_specs()],
+        keys_per_round=192, seed=7,
+    )
+    rounds = 8
+    for i in range(rounds):
+        publisher.drain(trainer, now=horizon * (i + 1) / (rounds + 1))
+    subscriber = UpdateSubscriber(log, layer.cache, host_store=layer.store)
+    subscriber.bind_observability(server.obs)
+    refresher = RefreshScheduler(
+        subscriber, hw, quantum_keys=512, aggressive=True,
+    )
+    server.refresher = refresher
+    tracer = RequestTracer(TraceConfig(head_interval=16, sla_budget=1e-3))
+    server.reqtracer = tracer
+    report = server.serve(reqs)
+    counters = {
+        name: value
+        for name, value in report.metrics.to_dict()["counters"].items()
+        if not name.startswith("coalescer.")
+    }
+    return {
+        "latencies": _array_digest(report.latencies),
+        "probabilities": _array_digest(report.probabilities),
+        "counters": _json_digest(counters),
+        "rootcause": _json_digest(report.rootcause),
+        "traces": _json_digest([t.to_dict() for t in tracer.traces]),
+        "refresh_busy_s": float(refresher.busy_time),
+        "refresh_keys": int(refresher.keys_applied),
+        "refresh_wait_s": float(sum(t.refresh_wait for t in tracer.traces)),
+        "p99_s": float(report.p99_latency),
+    }
+
+
+def scenario_serving_aggressive_refresh(hw):
+    return _aggressive_refresh_fixture(hw, PipelinedInferenceServer, depth=1)
 
 
 def _cluster_fixture(hw, schedule=None, hedge_delay=None):
@@ -179,7 +251,8 @@ def scenario_cluster_faulty(hw):
 
 SCENARIOS = {
     "serving_pipelined": scenario_serving_pipelined,
-    "serving_sequential": scenario_serving_sequential,
+    "serving_depth1": scenario_serving_depth1,
+    "serving_aggressive_refresh": scenario_serving_aggressive_refresh,
     "cluster_fault_free": scenario_cluster_fault_free,
     "cluster_faulty": scenario_cluster_faulty,
 }
@@ -244,7 +317,7 @@ def test_pinned_fp32_emits_no_precision_metrics():
         enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
     )
     report_payload = _serving_fixture(
-        hw, InferenceServer, precision=pinned,
+        hw, PipelinedInferenceServer, depth=1, precision=pinned,
     )
     del report_payload  # digests checked by the golden test above
     # Direct registry check on a fresh layer-level run.

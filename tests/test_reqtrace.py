@@ -44,7 +44,6 @@ from repro.obs.reqtrace import RequestTrace, _finish_trace
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
-from repro.serving.server import InferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
@@ -62,12 +61,13 @@ def dataset():
 
 
 def make_server(dataset, hw, pipelined=True, **kwargs):
+    """A depth-2 server, or the sequential depth-1 one (``pipelined=False``)."""
     store = EmbeddingStore(dataset.table_specs(), hw)
     layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.1), hw)
-    cls = PipelinedInferenceServer if pipelined else InferenceServer
-    return cls(
+    return PipelinedInferenceServer(
         dataset, layer, hw,
         policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        depth=2 if pipelined else 1,
         **kwargs,
     )
 

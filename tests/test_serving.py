@@ -8,7 +8,7 @@ from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import ConfigError, WorkloadError
 from repro.serving.arrivals import BurstyArrivals, PoissonArrivals, Request
 from repro.serving.batcher import BatchingPolicy, form_batches
-from repro.serving.server import InferenceServer
+from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
@@ -117,9 +117,10 @@ class TestInferenceServer:
     def server(self, dataset, hw):
         store = EmbeddingStore(dataset.table_specs(), hw)
         layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.2), hw)
-        return InferenceServer(
+        return PipelinedInferenceServer(
             dataset, layer, hw,
             policy=BatchingPolicy(max_batch_size=64, max_delay=1e-3),
+            depth=1,
         )
 
     def test_serves_every_request(self, server, dataset):

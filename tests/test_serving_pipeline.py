@@ -18,11 +18,20 @@ from repro.faults import (
 from repro.gpusim.clock import Timeline
 from repro.gpusim.executor import Event, Executor, SharedResource
 from repro.multitier.hierarchy import TieredParameterStore
+from repro.model.trainer import EmbeddingDeltaTrainer
 from repro.multitier.remote_ps import RemoteParameterServer
+from repro.obs import SpanTracer
+from repro.obs.reqtrace import RequestTracer, TraceConfig
+from repro.refresh import (
+    RefreshScheduler,
+    UpdateLog,
+    UpdatePublisher,
+    UpdateSubscriber,
+)
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy, form_batches
 from repro.serving.pipeline import InFlightMissTable, PipelinedInferenceServer
-from repro.serving.server import InferenceServer, ServingReport
+from repro.serving.server import ServingReport
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
@@ -157,7 +166,7 @@ class TestInFlightMissTable:
 
 
 # ---------------------------------------------------------------------------
-# Depth 1 == the sequential loop, exactly
+# Depth 1: the sequential case
 # ---------------------------------------------------------------------------
 
 
@@ -167,53 +176,13 @@ class TestDepthOneEquivalence:
             make_servers(dataset, hw, PipelinedInferenceServer, warm=False,
                          depth=0)
 
-    def test_bitwise_identical_to_sequential(self, dataset, hw, requests):
-        seq = make_servers(dataset, hw, InferenceServer)
-        pipe = make_servers(dataset, hw, PipelinedInferenceServer, depth=1)
-        a = seq.serve(requests)
-        b = pipe.serve(requests)
-        assert np.array_equal(a.latencies, b.latencies)
-        assert np.array_equal(a.probabilities, b.probabilities)
-        assert (a.hits, a.misses, a.unified_hits) == (
-            b.hits, b.misses, b.unified_hits
-        )
-        assert a.span == b.span
-        assert b.coalesced_keys == 0
+    def test_depth_one_never_coalesces(self, dataset, hw, requests):
+        server = make_servers(dataset, hw, PipelinedInferenceServer, depth=1)
+        report = server.serve(requests)
+        assert report.coalesced_keys == 0
         # One batch in flight: the table never holds a matchable entry.
-        assert pipe.last_run.coalescing.coalesced_keys == 0
-        assert pipe.last_run.depth == 1
-
-    def test_degraded_accounting_matches_sequential(self, dataset, hw):
-        def build(cls, **kwargs):
-            schedule = FaultSchedule([
-                ShardOutage(shard=s, start=2e-3, duration=6e-3)
-                for s in range(4)
-            ])
-            remote = RemoteParameterServer(
-                dataset.table_specs(),
-                injector=FaultInjector(schedule, seed=11),
-                retry_policy=RetryPolicy.naive(timeout=1e-3),
-            )
-            store = TieredParameterStore(
-                dataset.table_specs(), hw, dram_capacity=600, remote=remote,
-                degrade=DegradeConfig(policy="stale"),
-            )
-            layer = FlecheEmbeddingLayer(
-                store, FlecheConfig(cache_ratio=0.05), hw
-            )
-            return cls(
-                dataset, layer, hw,
-                policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-                **kwargs,
-            )
-
-        reqs = PoissonArrivals(dataset, 40_000.0, seed=5).generate(400)
-        a = build(InferenceServer).serve(reqs)
-        b = build(PipelinedInferenceServer, depth=1).serve(reqs)
-        assert a.degraded_requests == b.degraded_requests > 0
-        assert a.retries == b.retries
-        assert np.array_equal(a.latencies, b.latencies)
-        assert a.fault_windows == b.fault_windows
+        assert server.last_run.coalescing.coalesced_keys == 0
+        assert server.last_run.depth == 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +228,9 @@ class TestPipelineOverlap:
         assert ends == sorted(ends)
 
     def test_overlap_beats_sequential_under_load(self, dataset, hw, requests):
-        seq = make_servers(dataset, hw, InferenceServer).serve(requests)
+        seq = make_servers(
+            dataset, hw, PipelinedInferenceServer, depth=1
+        ).serve(requests)
         pipe_server = make_servers(
             dataset, hw, PipelinedInferenceServer, depth=2
         )
@@ -287,12 +258,87 @@ class TestPipelineOverlap:
                 model=model, include_dense=True, **kwargs,
             )
 
-        a = build(InferenceServer).serve(requests)
+        a = build(PipelinedInferenceServer, depth=1).serve(requests)
         b = build(PipelinedInferenceServer, depth=2).serve(requests)
         # The whole query is one host stage, so cache state evolves in
         # batch order exactly as sequentially; only timing overlaps.
         assert (a.hits, a.misses) == (b.hits, b.misses)
         assert np.array_equal(a.probabilities, b.probabilities)
+
+
+# ---------------------------------------------------------------------------
+# Aggressive refresh: an overrunning quantum delays the next stage
+# ---------------------------------------------------------------------------
+
+
+class TestAggressiveRefresh:
+    def overrun_run(self, dataset, hw, depth):
+        """A moderate load whose greedy refresh quanta outlast its idle gaps.
+
+        Records every ``run_idle`` call as ``(slot start, slot end,
+        busy-until)`` and every span, with every request traced.
+        """
+        tracer = SpanTracer()
+        reqtracer = RequestTracer(TraceConfig(head_interval=1))
+        server = make_servers(
+            dataset, hw, PipelinedInferenceServer, depth=depth,
+            tracer=tracer, reqtracer=reqtracer,
+        )
+        tracer.clear()
+        reqs = PoissonArrivals(dataset, 600_000.0, seed=4).generate(1_200)
+        horizon = reqs[-1].arrival_time
+        log = UpdateLog(retention=4096)
+        publisher = UpdatePublisher(log, max_batch_keys=4096)
+        trainer = EmbeddingDeltaTrainer(
+            [spec.corpus_size for spec in dataset.table_specs()],
+            [spec.dim for spec in dataset.table_specs()],
+            keys_per_round=4096, seed=7,
+        )
+        for i in range(6):
+            publisher.drain(trainer, now=horizon * (i + 1) / 7)
+        layer = server.engine.scheme
+        subscriber = UpdateSubscriber(log, layer.cache, host_store=layer.store)
+        refresher = RefreshScheduler(
+            subscriber, hw, quantum_keys=8192, aggressive=True,
+        )
+        slots = []
+        run_idle = refresher.run_idle
+
+        def spy(start, end):
+            busy = run_idle(start, end)
+            slots.append((start, end, busy))
+            return busy
+
+        refresher.run_idle = spy
+        server.refresher = refresher
+        server.serve(reqs)
+        return tracer, reqtracer, slots
+
+    def test_no_stage_starts_inside_an_overrun(self, dataset, hw):
+        tracer, reqtracer, slots = self.overrun_run(dataset, hw, depth=2)
+        overruns = [(s, busy) for s, e, busy in slots if busy > e]
+        assert overruns
+        stages = [
+            span for span in tracer.spans
+            if span.category != "queue"
+        ]
+        assert stages
+        for start, busy in overruns:
+            for span in stages:
+                end = span.start + span.duration
+                assert end <= start or span.start >= busy, (
+                    span, start, busy,
+                )
+        # Each overrun delays exactly one stage, and the traces charge
+        # that delay as refresh wait.
+        charged = sum(record.refresh for record in reqtracer.batches)
+        assert charged == pytest.approx(
+            sum(busy - e for _, e, busy in slots if busy > e),
+            rel=0, abs=1e-12,
+        )
+        traces = reqtracer.traces
+        assert any(t.refresh_wait > 0 for t in traces)
+        assert all(t.conserved for t in traces)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +376,7 @@ class TestCoalescing:
 
     def test_coalesced_fetch_issued_and_inserted_once(self, dataset, hw):
         _, seq_report, seq_inserted = self.coalescing_run(
-            dataset, hw, cls=InferenceServer
+            dataset, hw, depth=1
         )
         server, report, inserted = self.coalescing_run(dataset, hw, depth=3)
         stats = server.last_run.coalescing
@@ -502,11 +548,10 @@ class TestMetamorphicDepth:
 
 class TestReportSatellites:
     def test_span_is_first_arrival_to_last_finish(self, dataset, hw, requests):
-        for cls, kwargs in (
-            (InferenceServer, {}),
-            (PipelinedInferenceServer, {"depth": 2}),
-        ):
-            report = make_servers(dataset, hw, cls, **kwargs).serve(requests)
+        for depth in (1, 2):
+            report = make_servers(
+                dataset, hw, PipelinedInferenceServer, depth=depth
+            ).serve(requests)
             finishes = report.arrival_times + report.latencies
             expected = finishes.max() - report.arrival_times.min()
             assert report.span == pytest.approx(expected, rel=0, abs=1e-15)
